@@ -384,6 +384,15 @@ class ControlSystem:
     def specs_for(self, schema_name: str) -> list[CoordinationSpec]:
         return [s for s in self.specs if s.involves(schema_name)]
 
+    def coordination_sizes(self) -> dict[tuple[str, str], int]:
+        """Live coordination-authority sizes, ``{(measure, spec): value}``.
+
+        Measures: ``ro_registrations`` and ``ro_pending_clearances`` per
+        relative-order spec, ``mx_waiting`` (requests queued behind the
+        holder) per mutual-exclusion spec.
+        """
+        return {}
+
     # -- template methods --------------------------------------------------------
 
     def _on_schema_registered(self, compiled: CompiledSchema) -> None:

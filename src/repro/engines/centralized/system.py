@@ -79,3 +79,6 @@ class CentralizedControlSystem(ControlSystem):
 
     def engine_nodes(self) -> list[str]:
         return [self.engine.name]
+
+    def coordination_sizes(self) -> dict[tuple[str, str], int]:
+        return self.engine.authorities.sizes()

@@ -125,6 +125,16 @@ class AuthorityBundle:
         else:  # pragma: no cover - defensive
             raise CoordinationError(f"unknown coordination spec type {type(spec)!r}")
 
+    def sizes(self) -> dict[tuple[str, str], int]:
+        """Live authority sizes as ``{(measure, spec name): value}``."""
+        sizes = {}
+        for name, authority in self.ro.items():
+            sizes["ro_registrations", name] = authority.registration_count()
+            sizes["ro_pending_clearances", name] = authority.pending_count()
+        for name, authority in self.mx.items():
+            sizes["mx_waiting", name] = authority.waiting_count()
+        return sizes
+
     def hosts(self, spec_name: str) -> bool:
         return spec_name in self.ro or spec_name in self.mx or spec_name in self.rd
 

@@ -149,17 +149,18 @@ class AgentCoordinationMixin:
         self._deliver_ro_grants(authority, grants)
 
     def _deliver_ro_grants(self, authority, grants) -> None:
-        pairs = authority.established_pairs()
-        for grant in grants:
-            spec = authority.spec
+        spec = authority.spec
+        # Snapshot every grant's pairs before sending any: a local delivery
+        # can feed further reports back into the authority.
+        orders = [
+            [[spec.name, leading, lagging]
+             for leading, lagging in authority.pairs_of(grant.instance)]
+            for grant in grants
+        ]
+        for grant, grant_orders in zip(grants, orders):
             step = spec.ordered_steps(grant.schema)[grant.pair_index]
-            orders = [
-                [spec.name, leading, lagging]
-                for leading, lagging in pairs
-                if grant.instance in (leading, lagging)
-            ]
             self._send_grant(grant.schema, grant.instance, step, grant.token,
-                             orders=orders)
+                             orders=grant_orders)
 
     def _send_grant(
         self, schema_name: str, instance_id: str, step: str, token: str,

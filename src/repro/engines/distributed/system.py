@@ -61,6 +61,12 @@ class DistributedControlSystem(ControlSystem):
         authority = self.authority_agent_for(spec)
         self.agent(authority).authorities.host(spec)
 
+    def coordination_sizes(self) -> dict[tuple[str, str], int]:
+        sizes: dict[tuple[str, str], int] = {}
+        for agent in self.agents:
+            sizes.update(agent.authorities.sizes())
+        return sizes
+
     def authority_agent_for(self, spec: CoordinationSpec) -> str:
         """Deterministic authority placement: the first eligible agent of
         the spec's anchor step in ``schema_a``."""

@@ -25,6 +25,7 @@ exclusion).
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass, field
 from typing import Any, Hashable, Mapping
 
@@ -39,7 +40,11 @@ from repro.engines.coord import SpecIndex
 from repro.engines.runtime import EngineRuntime
 from repro.errors import FrontEndError, SchemaError
 from repro.model.compiler import CompiledSchema
-from repro.model.coordination_spec import CoordinationSpec
+from repro.model.coordination_spec import (
+    CoordinationSpec,
+    MutualExclusionSpec,
+    RelativeOrderSpec,
+)
 from repro.runtime.metrics import Mechanism
 from repro.runtime.messages import Message
 from repro.storage.tables import InstanceStatus
@@ -58,30 +63,32 @@ class TimestampMutex:
     """
 
     def __init__(self) -> None:
-        self._requests: list[tuple[Any, str, str]] = []  # (stamp, schema, inst)
-        self._released: set[str] = set()
+        #: Unreleased requests as (stamp, instance, schema), in stamp order.
+        self._requests: list[tuple[Any, str, str]] = []
+        self._live: dict[str, tuple[Any, str, str]] = {}
 
     def request(self, stamp: Any, schema: str, instance: str) -> None:
-        if instance in self._released:
-            # Re-acquisition (e.g. a region re-executed after rollback):
-            # retire the old request so the new stamp takes effect.
-            self._requests = [e for e in self._requests if e[2] != instance]
-            self._released.discard(instance)
-        if not any(inst == instance for __, __s, inst in self._requests):
-            self._requests.append((stamp, schema, instance))
-            self._requests.sort(key=lambda e: (e[0], e[2]))
+        # A repeat request keeps its original stamp; a re-acquisition after
+        # release (a region re-executed after rollback) takes the new one.
+        if instance in self._live:
+            return
+        entry = (stamp, instance, schema)
+        self._live[instance] = entry
+        bisect.insort(self._requests, entry)
 
     def release(self, instance: str) -> None:
-        self._released.add(instance)
+        entry = self._live.pop(instance, None)
+        if entry is not None:
+            del self._requests[bisect.bisect_left(self._requests, entry)]
 
     def holder(self) -> tuple[str, str] | None:
-        for __, schema, instance in self._requests:
-            if instance not in self._released:
-                return (schema, instance)
-        return None
+        if not self._requests:
+            return None
+        __, instance, schema = self._requests[0]
+        return (schema, instance)
 
     def waiting(self) -> int:
-        return sum(1 for __, __s, i in self._requests if i not in self._released)
+        return len(self._requests)
 
 
 @dataclass
@@ -92,13 +99,44 @@ class _CoordReplica:
     mx: dict[tuple[str, Hashable], TimestampMutex] = field(default_factory=dict)
     rd: dict[str, RollbackDependencyAuthority] = field(default_factory=dict)
 
+    @staticmethod
+    def _lock_key(spec_name: str, key: Hashable | None) -> tuple[str, Hashable]:
+        return (spec_name, key if key is not None else "__ANY__")
+
     def mutex(self, spec_name: str, key: Hashable | None) -> TimestampMutex:
-        lock_key = (spec_name, key if key is not None else "__ANY__")
+        lock_key = self._lock_key(spec_name, key)
         mutex = self.mx.get(lock_key)
         if mutex is None:
             mutex = TimestampMutex()
             self.mx[lock_key] = mutex
         return mutex
+
+    def sizes(self) -> dict[tuple[str, str], int]:
+        """This replica's sizes, as :meth:`AuthorityBundle.sizes`."""
+        sizes = {}
+        for name, authority in self.ro.items():
+            sizes["ro_registrations", name] = authority.registration_count()
+            sizes["ro_pending_clearances", name] = authority.pending_count()
+        for (name, __), mutex in self.mx.items():
+            # The earliest-stamped request holds the lock; the rest wait.
+            sizes["mx_waiting", name] = (
+                sizes.get(("mx_waiting", name), 0) + mutex.waiting() - 1
+            )
+        return sizes
+
+    def mx_holder(self, spec_name: str, key: Hashable | None) -> tuple[str, str] | None:
+        mutex = self.mx.get(self._lock_key(spec_name, key))
+        return None if mutex is None else mutex.holder()
+
+    def mx_release(self, spec_name: str, key: Hashable | None, instance: str) -> None:
+        """Release ``instance``'s request; an idle lock is dropped."""
+        lock_key = self._lock_key(spec_name, key)
+        mutex = self.mx.get(lock_key)
+        if mutex is None:
+            return
+        mutex.release(instance)
+        if not mutex.waiting():
+            del self.mx[lock_key]
 
 
 class ParallelEngineNode(CentralEngineNode):
@@ -240,8 +278,7 @@ class ParallelEngineNode(CentralEngineNode):
             )
             self._schedule_mx_check(payload["spec"], payload["key"])
         elif op == "mx_release":
-            authority = self.replica.mutex(payload["spec"], payload["key"])
-            authority.release(payload["instance"])
+            self.replica.mx_release(payload["spec"], payload["key"], payload["instance"])
             self._mx_granted.discard((payload["spec"], payload["instance"]))
             self._schedule_mx_check(payload["spec"], payload["key"])
         elif op == "rd_report":
@@ -331,8 +368,7 @@ class ParallelEngineNode(CentralEngineNode):
         )
 
     def _mx_check(self, spec_name: str, key: Hashable | None) -> None:
-        mutex = self.replica.mutex(spec_name, key)
-        holder = mutex.holder()
+        holder = self.replica.mx_holder(spec_name, key)
         if holder is None:
             return
         __, instance = holder
@@ -341,7 +377,7 @@ class ParallelEngineNode(CentralEngineNode):
         runtime = self.runtimes.get(instance)
         if runtime is None:
             # Owner engine no longer runs the instance (finished): release.
-            mutex.release(instance)
+            self.replica.mx_release(spec_name, key, instance)
             return
         self._mx_granted.add((spec_name, instance))
         runtime.mx_state[spec_name] = "held"
@@ -381,6 +417,27 @@ class ParallelControlSystem(ControlSystem):
 
     def engine_nodes(self) -> list[str]:
         return [engine.name for engine in self.engines]
+
+    def coordination_sizes(self) -> dict[tuple[str, str], int]:
+        # Replicas appear with a spec's first event and idle locks are
+        # dropped, so every installed spec starts from zero.  Every engine
+        # replicates registrations and lock requests, so one replica's view
+        # counts them; clearance requests are held only by the owning
+        # engine's replica, so those add up.
+        sizes: dict[tuple[str, str], int] = {}
+        for spec in self.specs:
+            if isinstance(spec, RelativeOrderSpec):
+                sizes["ro_registrations", spec.name] = 0
+                sizes["ro_pending_clearances", spec.name] = 0
+            elif isinstance(spec, MutualExclusionSpec):
+                sizes["mx_waiting", spec.name] = 0
+        for engine in self.engines:
+            for measure, value in engine.replica.sizes().items():
+                if measure[0] == "ro_pending_clearances":
+                    sizes[measure] = sizes.get(measure, 0) + value
+                else:
+                    sizes[measure] = max(sizes.get(measure, 0), value)
+        return sizes
 
     def _on_schema_registered(self, compiled: CompiledSchema) -> None:
         self.assignment.assign_round_robin(

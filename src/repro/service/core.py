@@ -993,6 +993,10 @@ class WorkflowService:
                 "crew_service_wal_flushes_total",
                 "Group-commit fsync batches on the durable service log.",
             ), self._log.flushes)
+        for (measure, spec), value in self.system.coordination_sizes().items():
+            registry.gauge(
+                f"crew_coord_{measure}", _COORD_GAUGE_HELP[measure], spec=spec,
+            ).set(value)
         if self.profiler is not None:
             for stat in self.profiler.top_frames():
                 _set_counter(registry.counter(
@@ -1027,6 +1031,14 @@ class WorkflowService:
         self._require_observability()
         assert self.profiler is not None
         return self.profiler.collapsed() + "\n"
+
+
+_COORD_GAUGE_HELP = {
+    "ro_registrations": "Instances registered with a relative-order authority.",
+    "ro_pending_clearances":
+        "Relative-order clearance requests waiting on a leading instance.",
+    "mx_waiting": "Mutual-exclusion requests queued behind the lock holder.",
+}
 
 
 def _node_fields(fn: Any) -> dict[str, Any]:

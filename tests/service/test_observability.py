@@ -442,3 +442,42 @@ def test_instances_listing_over_http():
             await shutdown(service, server)
 
     asyncio.run(main())
+
+
+ORDERED_LAWS = """
+workflow Job {
+  inputs part;
+  step Take program job.take reads WF.part writes a cost 1;
+  step Pack program job.pack reads Take.a writes b cost 1;
+  step Ship program job.ship reads Pack.b writes c cost 1;
+  arc Take -> Pack;
+  arc Pack -> Ship;
+  output result = Ship.c;
+}
+order fifo between Job(Take, Ship) and Job(Take, Ship) on WF.part;
+mutex lock between Job[Pack..Pack] and Job[Pack..Pack] on WF.part;
+"""
+
+
+@pytest.mark.parametrize("architecture",
+                         ["centralized", "parallel", "distributed"])
+def test_metrics_expose_coordination_gauges(architecture):
+    """An ordered document's authorities report their sizes on a scrape."""
+
+    async def main():
+        service = WorkflowService(architecture=architecture)
+        service.start()
+        try:
+            ids = service.submit(laws=ORDERED_LAWS, inputs={"part": "p"},
+                                 instances=3)["instances"]
+            for iid in ids:
+                assert (await wait_outcome(service, iid)).committed
+            text = service.metrics_text()
+            # Registrations outlive their instances; nothing is left waiting.
+            assert 'crew_coord_ro_registrations{spec="fifo"} 3' in text
+            assert 'crew_coord_ro_pending_clearances{spec="fifo"} 0' in text
+            assert 'crew_coord_mx_waiting{spec="lock"} 0' in text
+        finally:
+            await service.close()
+
+    asyncio.run(main())
