@@ -12,11 +12,15 @@ Two things are measured and committed as ``e2e_baseline.json``:
   These must match the baseline *exactly* (the whole simulation is a
   deterministic function of the seed); any drift means behaviour changed
   and the baseline must be consciously recommitted.
-* **Calibrated wall ratio** — total best-of-N sweep wall time divided by
-  the wall time of a fixed pure-Python calibration loop measured in the
-  same process.  Machine speed cancels out of the ratio, so a committed
-  ceiling catches real slowdowns (a hot path de-optimised, accidental
-  tracing in the benchmark path) without CI-runner jitter tripping it.
+* **Calibrated wall ratio** — each sweep pass's wall time divided by
+  the wall time of a fixed pure-Python calibration loop, averaged over
+  the loop run just before and just after that pass; the best pass's
+  ratio is reported.  Machine speed cancels out of the ratio, so a
+  committed ceiling catches real slowdowns (a hot path de-optimised,
+  accidental tracing in the benchmark path) without CI-runner jitter
+  tripping it.  Bracketing each pass matters on a shared host, whose
+  speed drifts within a run: the same loop read 68-101 ms across
+  back-to-back runs on a 2-core container.
 
 Run it two ways::
 
@@ -37,7 +41,7 @@ from repro.analysis.sweep import run_sweep, sweep_tasks
 from harness import environment_metadata
 
 SEED = 7                 # the canonical evaluation seed
-REPEATS = 2              # sweep passes; per-config wall is best-of-N
+REPEATS = 2              # sweep passes; the lowest-ratio pass is reported
 CALIBRATION_ROUNDS = 5   # min-of-N for the calibration loop
 
 BASELINE = pathlib.Path(__file__).with_name("e2e_baseline.json")
@@ -67,50 +71,60 @@ def calibrate(rounds: int = CALIBRATION_ROUNDS) -> float:
     return min(times)
 
 
-def measure(repeats: int = REPEATS) -> dict:
-    """Run the sweep ``repeats`` times; best-of-N wall per config."""
+def measure(repeats: int = REPEATS, calibrated: bool = True) -> dict:
+    """Run the sweep ``repeats`` times and report the pass with the
+    lowest wall ratio: its per-config walls, its total wall and the mean
+    of the calibrations bracketing it, so ``total_wall_s / calibration_s``
+    is ``wall_ratio``.  ``calibrated=False`` skips the calibration loop
+    (counters only; no wall ratio)."""
     tasks = sweep_tasks(seed=SEED)
     counters = None
-    walls: list[float] = []
     events: list[int] = []
+    best = None  # (ratio, walls, calibration) of the best pass so far
+    before = calibrate() if calibrated else 1.0
     for __ in range(repeats):
         sweep = run_sweep(tasks, workers=1)
+        after = calibrate() if calibrated else 1.0
         rows = sweep.run_log
+        walls = [row["wall_time_s"] for row in rows]
+        calibration = (before + after) / 2
+        ratio = sum(walls) / calibration
+        if best is None or ratio < best[0]:
+            best = (ratio, walls, calibration)
+        before = after
         seen = [(row["label"], row["committed"], row["aborted"],
                  row["messages"]) for row in rows]
         if counters is None:
             counters = seen
-            walls = [row["wall_time_s"] for row in rows]
             events = [row.get("events", 0) for row in rows]
         else:
             assert seen == counters, (
                 "sweep counters differ between repeats at the same seed — "
                 "the simulation is no longer deterministic"
             )
-            walls = [min(wall, row["wall_time_s"])
-                     for wall, row in zip(walls, rows)]
-    total = sum(walls)
-    calibration = calibrate()
-    return {
+    ratio, walls, calibration = best
+    numbers = {
         "seed": SEED,
         "repeats": repeats,
         "configs": [
             {"label": label, "committed": committed, "aborted": aborted,
-             "messages": messages, "best_wall_s": round(wall, 4),
+             "messages": messages, "wall_s": round(wall, 4),
              "events": count}
             for (label, committed, aborted, messages), wall, count
             in zip(counters, walls, events)
         ],
-        "total_best_wall_s": round(total, 4),
-        "calibration_s": round(calibration, 6),
-        "wall_ratio": round(total / calibration, 2),
+        "total_wall_s": round(sum(walls), 4),
         "environment": environment_metadata(),
     }
+    if calibrated:
+        numbers["calibration_s"] = round(calibration, 6)
+        numbers["wall_ratio"] = round(ratio, 2)
+    return numbers
 
 
 def test_e2e_sweep_counters_match_committed_baseline():
     """Determinism gate: one sweep pass must reproduce the baseline."""
-    numbers = measure(repeats=1)
+    numbers = measure(repeats=1, calibrated=False)
     baseline = json.loads(BASELINE.read_text(encoding="utf-8"))
     measured = {c["label"]: (c["committed"], c["aborted"], c["messages"])
                 for c in numbers["configs"]}
@@ -130,12 +144,12 @@ def main() -> int:
     parser.add_argument("--repeats", type=int, default=REPEATS)
     args = parser.parse_args()
     numbers = measure(repeats=args.repeats)
-    print(f"e2e sweep (seed {SEED}, best of {args.repeats}): "
-          f"{numbers['total_best_wall_s']:.2f}s total wall, "
+    print(f"e2e sweep (seed {SEED}, best of {args.repeats} passes): "
+          f"{numbers['total_wall_s']:.2f}s total wall, "
           f"calibration {numbers['calibration_s'] * 1e3:.1f}ms, "
           f"wall ratio {numbers['wall_ratio']:.1f}")
     for config in numbers["configs"]:
-        print(f"  {config['label']:<26} {config['best_wall_s']:7.3f}s  "
+        print(f"  {config['label']:<26} {config['wall_s']:7.3f}s  "
               f"committed {config['committed']} aborted {config['aborted']} "
               f"messages {config['messages']}")
     if args.json:

@@ -8,6 +8,8 @@ file-backed append-only log of checksummed JSON-line records — the same
 WalRecord`, reusing :func:`repro.storage.wal.record_checksum` — with
 group commit: ``append`` buffers, ``flush`` writes every buffered record
 and fsyncs once, so one submission of N instances costs one disk sync.
+``append`` encodes the payload once and derives both the checksum input
+and the finished line from that one encoding.
 
 Record kinds written by :class:`~repro.service.core.WorkflowService`:
 
@@ -55,7 +57,7 @@ from pathlib import Path
 from typing import Any, Iterable, Mapping
 
 from repro.errors import StorageError
-from repro.storage.wal import WalRecord, record_checksum
+from repro.storage.wal import WalRecord, canonical_json, encoded_checksum
 
 __all__ = ["ServiceLog", "ServiceState"]
 
@@ -70,7 +72,8 @@ class ServiceLog:
         directory.mkdir(parents=True, exist_ok=True)
         self.path = directory / _LOG_NAME
         self._records: list[WalRecord] = []
-        self._buffer: list[WalRecord] = []
+        #: Finished lines of records appended since the last flush.
+        self._buffer: list[str] = []
         self._next_lsn = 1
         #: True when load dropped a truncated final record (torn write).
         self.torn_tail = False
@@ -141,11 +144,17 @@ class ServiceLog:
                 f"service log payload must be a dict, got {type(payload).__name__}"
             )
         lsn = self._next_lsn
+        # One encode serves the checksum and the line; the line is
+        # byte-identical to json.dumps of the record with sorted keys
+        # (crc, kind, lsn, payload in that order).
+        encoded = canonical_json(payload)
+        checksum = encoded_checksum(lsn, kind, encoded)
         record = WalRecord(lsn=lsn, kind=kind, payload=dict(payload),
-                           checksum=record_checksum(lsn, kind, payload))
+                           checksum=checksum)
         self._next_lsn += 1
         self._records.append(record)
-        self._buffer.append(record)
+        self._buffer.append(f'{{"crc": {checksum}, "kind": {json.dumps(kind)}, '
+                            f'"lsn": {lsn}, "payload": {encoded}}}\n')
         self.appends += 1
         return record
 
@@ -154,15 +163,7 @@ class ServiceLog:
         the number of records made durable."""
         if not self._buffer:
             return 0
-        blob = b"".join(
-            (json.dumps(
-                {"lsn": r.lsn, "kind": r.kind, "payload": r.payload,
-                 "crc": r.checksum},
-                sort_keys=True, default=str,
-            ) + "\n").encode("utf-8")
-            for r in self._buffer
-        )
-        self._fh.write(blob)
+        self._fh.write("".join(self._buffer).encode("utf-8"))
         self._fh.flush()
         os.fsync(self._fh.fileno())
         flushed = len(self._buffer)

@@ -115,9 +115,6 @@ class AgentDatabase:
                 f"{schema_name}.{step}"
             ) from None
 
-    def directory_items(self) -> tuple[tuple[tuple[str, str], tuple[str, ...]], ...]:
-        return tuple(sorted(self._directory.items()))
-
     # -- coordination instance summary table ---------------------------------------------
 
     def set_summary(self, instance_id: str, status: InstanceStatus) -> None:

@@ -9,29 +9,73 @@ crash*: a crashed node loses its in-memory tables but keeps its WAL, and
 
 Records are ``(lsn, kind, payload)``; payloads must be plain dict/list/
 scalar structures (the stores only write snapshots, never live objects).
+
+Two checksum forms exist.  :func:`record_checksum` (crc32 of canonical,
+sorted-key JSON) is the *on-disk* form: :mod:`repro.service.durability`
+writes it beside JSON lines and must recompute it after a JSON round
+trip.  :func:`memory_checksum` (crc32 of the record's ``marshal``
+version-2 bytes) is the *in-process* form this log stamps: the record
+never leaves the process, so it need only be stable for the life of the
+payload object, and it costs a fraction of the JSON encode.
 """
 
 from __future__ import annotations
 
 import json
+import marshal
 import zlib
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Mapping
 
 from repro.errors import StorageError
 
-__all__ = ["WalRecord", "WriteAheadLog", "record_checksum"]
+__all__ = [
+    "MemoryWalRecord", "WalRecord", "WriteAheadLog", "canonical_json",
+    "encoded_checksum", "memory_checksum", "record_checksum",
+]
 
 
-def record_checksum(lsn: int, kind: str, payload: Mapping[str, Any]) -> int:
-    """Content checksum of one record (crc32 over a canonical JSON form).
+def canonical_json(payload: Mapping[str, Any]) -> str:
+    """The canonical JSON form of a payload: sorted keys, ``default=str``.
 
     ``default=str`` keeps enum-like payload values hashable; payloads are
     snapshots (never live objects), so the canonical form is stable for
     the record's lifetime.
     """
-    blob = json.dumps([lsn, kind, payload], sort_keys=True, default=str)
+    return json.dumps(payload, sort_keys=True, default=str)
+
+
+def record_checksum(lsn: int, kind: str, payload: Mapping[str, Any]) -> int:
+    """Content checksum of one record (crc32 over a canonical JSON form)."""
+    return encoded_checksum(lsn, kind, canonical_json(payload))
+
+
+def encoded_checksum(lsn: int, kind: str, encoded_payload: str) -> int:
+    """:func:`record_checksum` given the payload's :func:`canonical_json`.
+
+    Hashes the bytes of ``json.dumps([lsn, kind, payload], sort_keys=True,
+    default=str)``, built from the already-encoded payload so a writer
+    that also needs that encoding (the service journal's line) pays for
+    it once.
+    """
+    blob = f"[{lsn}, {json.dumps(kind)}, {encoded_payload}]"
     return zlib.crc32(blob.encode("utf-8"))
+
+
+def memory_checksum(lsn: int, kind: str, payload: Mapping[str, Any]) -> int:
+    """In-process checksum of one record (crc32 over ``marshal`` bytes).
+
+    Version 2 is pinned: versions 3 and up write back-references for
+    objects seen twice, so a payload sharing one sub-dict in two places
+    would encode differently from an equal payload holding two copies.
+    Version 2 encodes by content and insertion order only.  Values
+    ``marshal`` refuses (enums, dict subclasses, nesting past its depth
+    limit) fall back to :func:`record_checksum`.
+    """
+    try:
+        return zlib.crc32(marshal.dumps((lsn, kind, payload), 2))
+    except ValueError:
+        return record_checksum(lsn, kind, payload)
 
 
 @dataclass(frozen=True)
@@ -46,6 +90,13 @@ class WalRecord:
         return self.checksum == record_checksum(self.lsn, self.kind, self.payload)
 
 
+class MemoryWalRecord(WalRecord):
+    """A :class:`WriteAheadLog` record, stamped with :func:`memory_checksum`."""
+
+    def verify(self) -> bool:
+        return self.checksum == memory_checksum(self.lsn, self.kind, self.payload)
+
+
 class WriteAheadLog:
     """A durable, append-only sequence of records with checkpoint truncation."""
 
@@ -55,7 +106,7 @@ class WriteAheadLog:
     profile = None
 
     def __init__(self) -> None:
-        self._records: list[WalRecord] = []
+        self._records: list[MemoryWalRecord] = []
         self._next_lsn = 1
         self.appends = 0
 
@@ -69,8 +120,8 @@ class WriteAheadLog:
                     f"WAL payload must be a dict, got {type(payload).__name__}"
                 )
             lsn = self._next_lsn
-            record = WalRecord(lsn=lsn, kind=kind, payload=payload,
-                               checksum=record_checksum(lsn, kind, payload))
+            record = MemoryWalRecord(lsn=lsn, kind=kind, payload=payload,
+                                     checksum=memory_checksum(lsn, kind, payload))
             self._next_lsn += 1
             self._records.append(record)
             self.appends += 1
@@ -144,5 +195,5 @@ class WriteAheadLog:
     def __len__(self) -> int:
         return len(self._records)
 
-    def __iter__(self) -> Iterator[WalRecord]:
+    def __iter__(self) -> Iterator[MemoryWalRecord]:
         return iter(self._records)

@@ -9,12 +9,14 @@ at-most-once outcome guarantee.
 
 import asyncio
 import json
+import zlib
 
 import pytest
 
 from repro.errors import StorageError
 from repro.service import WorkflowService
 from repro.service.durability import ServiceLog, ServiceState
+from repro.storage.wal import record_checksum
 
 MINI_SCHEMA = {
     "name": "Mini",
@@ -113,6 +115,64 @@ def test_service_log_checksum_mismatch_is_corruption(tmp_path):
 
     with pytest.raises(StorageError):
         ServiceLog(tmp_path)
+
+
+#: Payloads covering what the line format must keep: nesting, key order,
+#: non-ASCII text, tuples (written as lists), floats, and a value JSON
+#: cannot encode (written through ``default=str``).
+GOLDEN_RECORDS = [
+    ("document", {"schema": {"name": "Mini", "steps": [{"b": 2, "a": 1}]}}),
+    ("submit", {"workflow": "Mini", "instance": "Mini-1",
+                "inputs": {"x": 1.5, "part": "Dichtung ß – ✓"},
+                "deadline": None}),
+    ("outcome", {"instance": "Mini-1", "status": "committed",
+                 "outputs": {"z": (1, 2)}, "finished_at": 12.25}),
+    ("fragment", {"instance": "Mini-1", "node": "n1",
+                  "state": {"tags": frozenset({"x"}), "ok": True}}),
+    ("redrive", {"original": "Mini-2", "replacement": "Mini-3"}),
+]
+
+
+def full_form_checksum(lsn, kind, payload):
+    """crc32 of ``json.dumps`` of the whole ``[lsn, kind, payload]`` list."""
+    blob = json.dumps([lsn, kind, payload], sort_keys=True, default=str)
+    return zlib.crc32(blob.encode("utf-8"))
+
+
+def full_form_line(lsn, kind, payload):
+    """A record's line as ``json.dumps`` of the whole record produces it."""
+    return json.dumps(
+        {"lsn": lsn, "kind": kind, "payload": payload,
+         "crc": full_form_checksum(lsn, kind, payload)},
+        sort_keys=True, default=str,
+    ) + "\n"
+
+
+def test_service_log_bytes_match_the_full_record_encoding(tmp_path):
+    log = ServiceLog(tmp_path)
+    for kind, payload in GOLDEN_RECORDS:
+        record = log.append(kind, payload)
+        assert record.checksum == full_form_checksum(record.lsn, kind, payload)
+        assert record.checksum == record_checksum(record.lsn, kind, payload)
+    log.close()
+    expected = "".join(full_form_line(lsn, kind, payload) for lsn, (kind, payload)
+                       in enumerate(GOLDEN_RECORDS, start=1))
+    assert log.path.read_bytes() == expected.encode("utf-8")
+
+
+def test_service_log_loads_a_log_written_in_the_full_record_form(tmp_path):
+    path = tmp_path / "service.wal"
+    path.write_bytes("".join(
+        full_form_line(lsn, kind, payload)
+        for lsn, (kind, payload) in enumerate(GOLDEN_RECORDS, start=1)
+    ).encode("utf-8"))
+    log = ServiceLog(tmp_path)
+    assert not log.torn_tail
+    assert [r.kind for r in log.records()] == [k for k, __ in GOLDEN_RECORDS]
+    assert all(record.verify() for record in log.records())
+    assert log.append("outcome", {"instance": "Mini-3"}).lsn == len(GOLDEN_RECORDS) + 1
+    log.close()
+    assert not ServiceLog(tmp_path).torn_tail
 
 
 # -------------------------------------------------------------- ServiceState
