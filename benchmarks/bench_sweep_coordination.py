@@ -11,7 +11,7 @@ requirements then central ... control is preferable") visible as a curve.
 import pytest
 
 from repro.analysis.report import format_table
-from repro.sim.metrics import Mechanism
+from repro.runtime.metrics import Mechanism
 
 from harness import BENCH_PARAMS, run_architecture
 

@@ -13,7 +13,7 @@ import pytest
 
 from repro.analysis.report import format_table
 from repro.core.programs import ConstantProgram, FailEveryNth
-from repro.sim.metrics import Mechanism
+from repro.runtime.metrics import Mechanism
 from repro.workloads.generator import WorkloadGenerator
 from repro.workloads.params import PAPER_DEFAULTS
 

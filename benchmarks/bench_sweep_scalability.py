@@ -10,7 +10,7 @@ distributed control falls as ``s/z`` while the central engine's stays at
 import pytest
 
 from repro.analysis.report import format_table
-from repro.sim.metrics import Mechanism
+from repro.runtime.metrics import Mechanism
 
 from harness import BENCH_PARAMS, run_architecture
 

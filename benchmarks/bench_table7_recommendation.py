@@ -11,7 +11,7 @@ import pytest
 
 from repro.analysis.recommend import SCENARIOS, recommendation_matrix
 from repro.analysis.report import render_recommendation
-from repro.sim.metrics import Mechanism
+from repro.runtime.metrics import Mechanism
 
 from harness import BENCH_PARAMS, SweepTask, run_architectures
 

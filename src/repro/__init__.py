@@ -55,7 +55,7 @@ from repro.model import (
     WorkflowSchema,
     compile_schema,
 )
-from repro.sim import Mechanism
+from repro.runtime.metrics import Mechanism
 from repro.storage import InstanceStatus, StepStatus
 from repro.workloads import (
     PAPER_DEFAULTS,

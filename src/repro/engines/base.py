@@ -726,13 +726,6 @@ class ControlSystem:
             iid for iid, out in self.outcomes.items() if out.committed
         )
 
-    def aborted_instances(self) -> list[str]:
-        return sorted(
-            iid
-            for iid, out in self.outcomes.items()
-            if out.status is InstanceStatus.ABORTED
-        )
-
     def _record_outcome(
         self,
         instance_id: str,

@@ -106,8 +106,7 @@ class CentralEngineNode(EngineCoordinationMixin, EngineRecoveryMixin, Node):
                           instance=instance_id, schema=schema_name)
         self._charge(Mechanism.NORMAL)
         # Mutual-exclusion regions opening at the start step are acquired now.
-        for spec in self.spec_index.mx_region_first(schema_name, compiled.start_step):
-            self._mx_acquire(runtime, spec)
+        self._coord_enter(runtime, compiled.start_step)
         engine.post_event(WF_START, self.simulator.now)
 
     def workflow_status(self, instance_id: str) -> InstanceStatus:
@@ -503,7 +502,7 @@ class CentralEngineNode(EngineCoordinationMixin, EngineRecoveryMixin, Node):
         if runtime is None or runtime.state.status is not InstanceStatus.RUNNING:
             return
         compiled = runtime.compiled
-        self._coord_on_step_done(runtime, step)
+        self._coord_step_done(runtime, step, compiled.graph.successors(step))
 
         # Termination: terminal steps report unless a loop continues.
         if step in compiled.terminal_steps and not runtime.loop_continues(step):
@@ -519,7 +518,7 @@ class CentralEngineNode(EngineCoordinationMixin, EngineRecoveryMixin, Node):
             return
         self.wfdb.set_status(instance_id, InstanceStatus.COMMITTED)
         outputs = ControlSystem.workflow_outputs(runtime.compiled, runtime.state)
-        self._release_coordination(runtime, aborted=False)
+        self._coord_finish(runtime, aborted=False)
         self.system._record_outcome(
             instance_id,
             runtime.state.schema_name,

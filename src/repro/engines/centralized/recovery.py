@@ -79,7 +79,7 @@ class EngineRecoveryMixin:
                     retired.span, self.simulator.now, status="cancelled"
                 )
         self.wfdb.set_status(instance_id, InstanceStatus.ABORTED)
-        self._release_coordination(runtime, aborted=True)
+        self._coord_finish(runtime, aborted=True)
         self.system._record_outcome(
             instance_id,
             runtime.state.schema_name,
@@ -196,7 +196,7 @@ class EngineRecoveryMixin:
 
         # Rollback dependency triggers (single-hop to avoid ping-pong).
         if not from_rd:
-            self._coord_on_rollback(runtime, recovery.steps)
+            self._coord_rollback(runtime, recovery.steps)
 
         runtime.engine.reevaluate()
 

@@ -168,7 +168,8 @@ class AgentCommitMixin:
         )
         self.trace.record(self.simulator.now, self.name, "workflow.commit",
                           instance=instance_id)
-        self._withdraw_coordination(instance_id, runtime, aborted=False)
+        if runtime is not None:
+            self._coord_finish(runtime, aborted=False)
         if tracker.parent_link is not None:
             parent_id, parent_step = tracker.parent_link
             parent_compiled = None

@@ -140,7 +140,8 @@ class AgentFailureMixin:
         if runtime is not None:
             runtime.fragment.status = InstanceStatus.ABORTED
             self._persist(runtime)
-        self._withdraw_coordination(instance_id, runtime, aborted=True)
+        if runtime is not None:
+            self._coord_finish(runtime, aborted=True)
         self.system._record_outcome(
             instance_id, schema.name, InstanceStatus.ABORTED, {}, self.simulator.now
         )

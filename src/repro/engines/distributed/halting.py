@@ -18,7 +18,6 @@ from repro.core.interfaces import WI
 from repro.core.programs import ExecutionContext
 from repro.core.recovery import RecoveryTokens
 from repro.engines.base import record_compensation
-from repro.engines.coord import SpecIndex
 from repro.engines.runtime import (
     AgentRuntime,
     absorb_invalidations,
@@ -71,23 +70,8 @@ class AgentHaltingMixin:
         # Rollback-dependency triggers (single hop: a rollback induced by
         # a dependency does not re-trigger dependencies, avoiding ping-pong
         # between mutually dependent instances).
-        recovery = RecoveryTokens(runtime.compiled, origin)
-        rd_allowed = not payload.get("from_rd", False)
-        for spec in self.spec_index.rd_triggers(fragment.schema_name) if rd_allowed else []:
-            if spec.trigger_step_a not in recovery.steps:
-                continue
-            authority = self.system.authority_agent_for(spec)
-            trigger_payload = {
-                "op": "rd_trigger",
-                "spec": spec.name,
-                "instance_id": instance_id,
-                "key": SpecIndex.conflict_key_value(spec, fragment),
-            }
-            if authority == self.name:
-                self._apply_rd_trigger(trigger_payload)
-            else:
-                self.send(authority, WI.ADD_RULE.value, trigger_payload,
-                          Mechanism.COORDINATION)
+        if not payload.get("from_rd", False):
+            self._coord_rollback(runtime, RecoveryTokens(runtime.compiled, origin).steps)
         # Re-execution: the origin's rules were re-armed by the local halt;
         # its trigger events (outside the invalidation set) are still valid.
         runtime.engine.reevaluate()

@@ -125,10 +125,7 @@ class AgentNavigationMixin:
         # Mutual-exclusion region head arriving: the assigned executor asks
         # the authority for the region lock.
         if packet.assigned_agent == self.name:
-            for spec in self.spec_index.mx_region_first(
-                packet.schema_name, packet.target_step
-            ):
-                self._mx_request(runtime, instance_id, spec)
+            self._coord_enter(runtime, packet.target_step)
         # Merge without pumping, then re-apply everything this agent knows
         # to be invalidated (a stale packet may carry — and revive — an
         # occurrence this agent already invalidated), and only then fire.
@@ -377,7 +374,7 @@ class AgentNavigationMixin:
         if runtime is None or runtime.fragment.status is not InstanceStatus.RUNNING:
             return
         compiled = runtime.compiled
-        self._coord_on_step_done(runtime, instance_id, step)
+        self._coord_step_done(runtime, step)
         if step in compiled.terminal_steps and not runtime.loop_continues(step):
             self._report_completion(runtime, instance_id, step, mechanism)
             return

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 from typing import Any, Mapping
 
-from repro.core.coordination import mx_clearance_token, ro_clearance_token
 from repro.core.interfaces import WI
 from repro.engines.base import governed_step_count
 from repro.engines.coord import AuthorityBundle
@@ -135,22 +134,8 @@ class WorkflowAgentNode(
             ),
         )
         self.runtimes[instance_id] = runtime
-        self._install_preconditions(runtime, instance_id)
+        self._install_preconditions(runtime, runtime.hosted)
         return runtime
-
-    def _install_preconditions(self, runtime: AgentRuntime, instance_id: str) -> None:
-        schema_name = runtime.fragment.schema_name
-        for spec, pair_index, step in self.spec_index.ro_governed_pairs(schema_name):
-            if pair_index >= 1 and step in runtime.hosted:
-                runtime.engine.add_step_precondition(
-                    step, ro_clearance_token(spec.name, pair_index, instance_id)
-                )
-        for spec in self.spec_index.mx_specs(schema_name):
-            first, __ = spec.region_of(schema_name)
-            if first in runtime.hosted:
-                runtime.engine.add_step_precondition(
-                    first, mx_clearance_token(spec.name, instance_id)
-                )
 
     def _persist(self, runtime: AgentRuntime) -> None:
         runtime.fragment.events_snapshot = runtime.engine.events.export_versioned()
@@ -185,8 +170,7 @@ class WorkflowAgentNode(
                           instance=instance_id, schema=schema_name)
         self.charge(1.0, Mechanism.NORMAL)
         # A mutual-exclusion region opening at the start step is acquired now.
-        for spec in self.spec_index.mx_region_first(schema_name, compiled.start_step):
-            self._mx_request(runtime, instance_id, spec)
+        self._coord_enter(runtime, compiled.start_step)
         runtime.assigned[compiled.start_step] = self.name
         runtime.engine.post_event(WF_START, self.simulator.now,
                                   runtime.fragment.invalidation_round)
@@ -244,7 +228,7 @@ class WorkflowAgentNode(
         self.agdb.set_summary(instance_id, InstanceStatus.ABORTED)
         runtime.fragment.status = InstanceStatus.ABORTED
         self._persist(runtime)
-        self._withdraw_coordination(instance_id, runtime, aborted=True)
+        self._coord_finish(runtime, aborted=True)
         self.system._record_outcome(
             instance_id, schema.name, InstanceStatus.ABORTED, {}, self.simulator.now
         )
@@ -385,7 +369,7 @@ class WorkflowAgentNode(
                 if record.agent is not None:
                     runtime.executors[record.step] = record.agent
             self.runtimes[instance_id] = runtime
-            self._install_preconditions(runtime, instance_id)
+            self._install_preconditions(runtime, runtime.hosted)
             # Re-coordinating instances: restore the tracker from its last
             # persisted snapshot — terminal reports consumed before the
             # crash are never re-sent, so a bare skeleton would wedge the

@@ -26,25 +26,16 @@ exclusion).
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field
 from typing import Any, Hashable, Mapping
 
-from repro.core.coordination import (
-    RelativeOrderAuthority,
-    RollbackDependencyAuthority,
-    mx_clearance_token,
-)
+from repro.core.coordination import mx_clearance_token
 from repro.engines.base import ControlSystem, SystemConfig
 from repro.engines.centralized import ApplicationAgentNode, CentralEngineNode
-from repro.engines.coord import SpecIndex
+from repro.engines.coord import MX_RELEASE, MX_REQUEST
 from repro.engines.runtime import EngineRuntime
 from repro.errors import FrontEndError, SchemaError
 from repro.model.compiler import CompiledSchema
-from repro.model.coordination_spec import (
-    CoordinationSpec,
-    MutualExclusionSpec,
-    RelativeOrderSpec,
-)
+from repro.model.coordination_spec import CoordinationSpec, MutualExclusionSpec
 from repro.runtime.metrics import Mechanism
 from repro.runtime.messages import Message
 from repro.storage.tables import InstanceStatus
@@ -91,119 +82,55 @@ class TimestampMutex:
         return len(self._requests)
 
 
-@dataclass
-class _CoordReplica:
-    """Per-engine replica of the global coordination state."""
+class ParallelEngineNode(CentralEngineNode):
+    """A central engine participating in a parallel deployment.
 
-    ro: dict[str, RelativeOrderAuthority] = field(default_factory=dict)
-    mx: dict[tuple[str, Hashable], TimestampMutex] = field(default_factory=dict)
-    rd: dict[str, RollbackDependencyAuthority] = field(default_factory=dict)
+    Its authority bundle is this engine's replica of the relative-order
+    and rollback-dependency state; region locks are replicated as
+    :class:`TimestampMutex` instances, one per (spec, conflict key).
+    """
 
-    @staticmethod
-    def _lock_key(spec_name: str, key: Hashable | None) -> tuple[str, Hashable]:
-        return (spec_name, key if key is not None else "__ANY__")
+    _stamp_ops = True
 
-    def mutex(self, spec_name: str, key: Hashable | None) -> TimestampMutex:
-        lock_key = self._lock_key(spec_name, key)
-        mutex = self.mx.get(lock_key)
-        if mutex is None:
-            mutex = TimestampMutex()
-            self.mx[lock_key] = mutex
-        return mutex
+    def __init__(self, name: str, system: "ParallelControlSystem"):
+        super().__init__(name, system)
+        self._mutexes: dict[tuple[str, Hashable], TimestampMutex] = {}
+        self._mx_granted: set[tuple[str, str]] = set()  # (spec, instance)
 
-    def sizes(self) -> dict[tuple[str, str], int]:
+    # -- plumbing ---------------------------------------------------------------
+
+    def _owns(self, instance_id: str) -> bool:
+        return self.system.owner_of(instance_id) == self.name
+
+    def _route_op(self, op: dict[str, Any], specs) -> None:
+        """Broadcast: send the op to every peer engine and apply locally."""
+        peers = [n for n in self.system.engine_nodes() if n != self.name]
+        for peer in peers:
+            self.send(peer, VERB_COORD_OP, op, Mechanism.COORDINATION)
+        self.system.obs_coordination(
+            op["instance_id"], self.name, self.simulator.now, op["op"],
+            spec_name=op.get("spec"), peers=len(peers),
+        )
+        self._apply_op(op)
+
+    def handle_message(self, message: Message) -> None:
+        if message.interface == VERB_COORD_OP:
+            self._charge(Mechanism.COORDINATION)
+            self._apply_op(dict(message.payload))
+            return
+        super().handle_message(message)
+
+    def coordination_sizes(self) -> dict[tuple[str, str], int]:
         """This replica's sizes, as :meth:`AuthorityBundle.sizes`."""
-        sizes = {}
-        for name, authority in self.ro.items():
-            sizes["ro_registrations", name] = authority.registration_count()
-            sizes["ro_pending_clearances", name] = authority.pending_count()
-        for (name, __), mutex in self.mx.items():
+        sizes = self.authorities.sizes()
+        for (name, __), mutex in self._mutexes.items():
             # The earliest-stamped request holds the lock; the rest wait.
             sizes["mx_waiting", name] = (
                 sizes.get(("mx_waiting", name), 0) + mutex.waiting() - 1
             )
         return sizes
 
-    def mx_holder(self, spec_name: str, key: Hashable | None) -> tuple[str, str] | None:
-        mutex = self.mx.get(self._lock_key(spec_name, key))
-        return None if mutex is None else mutex.holder()
-
-    def mx_release(self, spec_name: str, key: Hashable | None, instance: str) -> None:
-        """Release ``instance``'s request; an idle lock is dropped."""
-        lock_key = self._lock_key(spec_name, key)
-        mutex = self.mx.get(lock_key)
-        if mutex is None:
-            return
-        mutex.release(instance)
-        if not mutex.waiting():
-            del self.mx[lock_key]
-
-
-class ParallelEngineNode(CentralEngineNode):
-    """A central engine participating in a parallel deployment."""
-
-    def __init__(self, name: str, system: "ParallelControlSystem"):
-        super().__init__(name, system)
-        self.replica = _CoordReplica()
-        self._mx_granted: set[tuple[str, str]] = set()  # (spec, instance)
-
-    # -- plumbing ---------------------------------------------------------------
-
-    def _peers(self) -> list[str]:
-        return [n for n in self.system.engine_nodes() if n != self.name]
-
-    def _owns(self, instance_id: str) -> bool:
-        return self.system.owner_of(instance_id) == self.name
-
-    def _broadcast(self, payload: dict[str, Any]) -> None:
-        """Send a coordination op to every peer engine and apply locally."""
-        peers = self._peers()
-        for peer in peers:
-            self.send(peer, VERB_COORD_OP, payload, Mechanism.COORDINATION)
-        self.system.obs_coordination(
-            payload.get("instance"), self.name, self.simulator.now,
-            f"broadcast.{payload['op']}", spec_name=payload.get("spec"),
-            peers=len(peers),
-        )
-        self._apply_coord_op(payload)
-
-    def handle_message(self, message: Message) -> None:
-        if message.interface == VERB_COORD_OP:
-            self._charge(Mechanism.COORDINATION)
-            self._apply_coord_op(dict(message.payload))
-            return
-        super().handle_message(message)
-
-    # -- overridden coordination hooks ---------------------------------------------
-
-    def _coord_on_step_done(self, runtime: EngineRuntime, step: str) -> None:
-        schema_name = runtime.state.schema_name
-        instance_id = runtime.state.instance_id
-        now = self.simulator.now
-        for spec, pair_index in self.spec_index.ro_roles(schema_name, step):
-            key = SpecIndex.conflict_key_value(spec, runtime.state)
-            self._broadcast({
-                "op": "ro_report",
-                "spec": spec.name,
-                "schema": schema_name,
-                "instance": instance_id,
-                "pair_index": pair_index,
-                "key": key,
-                "time": now,
-            })
-        for spec in self.spec_index.mx_region_last(schema_name, step):
-            self._mx_release(runtime, spec)
-        for successor in runtime.compiled.graph.successors(step):
-            for spec in self.spec_index.mx_region_first(schema_name, successor):
-                self._mx_acquire(runtime, spec)
-        for spec in self.spec_index.rd_targets(schema_name, step):
-            key = SpecIndex.conflict_key_value(spec, runtime.state)
-            self._broadcast({
-                "op": "rd_report",
-                "spec": spec.name,
-                "instance": instance_id,
-                "key": key,
-            })
+    # -- coordination hooks ----------------------------------------------------------
 
     def _coord_on_recover(self, runtime: EngineRuntime) -> None:
         # Tokens recorded as delivered died with the volatile event table;
@@ -213,149 +140,53 @@ class ParallelEngineNode(CentralEngineNode):
             self._mx_granted.discard((spec.name, instance_id))
         super()._coord_on_recover(runtime)
 
-    def _mx_acquire(self, runtime: EngineRuntime, spec: CoordinationSpec) -> None:
-        current = runtime.mx_state.get(spec.name, "none")
-        if current in ("requested", "held"):
-            return
-        runtime.mx_state[spec.name] = "requested"
-        key = SpecIndex.conflict_key_value(spec, runtime.state)
-        self._broadcast({
-            "op": "mx_request",
-            "spec": spec.name,
-            "schema": runtime.state.schema_name,
-            "instance": runtime.state.instance_id,
-            "key": key,
-            "time": self.simulator.now,
-        })
-
-    def _mx_release(self, runtime: EngineRuntime, spec: CoordinationSpec) -> None:
-        if runtime.mx_state.get(spec.name) not in ("held", "requested"):
-            return
-        runtime.mx_state[spec.name] = "released"
-        key = SpecIndex.conflict_key_value(spec, runtime.state)
-        self._broadcast({
-            "op": "mx_release",
-            "spec": spec.name,
-            "instance": runtime.state.instance_id,
-            "key": key,
-        })
-
-    def _coord_on_rollback(self, runtime: EngineRuntime, inval_steps) -> None:
-        state = runtime.state
-        for spec in self.spec_index.rd_triggers(state.schema_name):
-            if spec.trigger_step_a not in inval_steps:
-                continue
-            key = SpecIndex.conflict_key_value(spec, state)
-            self._broadcast({
-                "op": "rd_trigger",
-                "spec": spec.name,
-                "instance": state.instance_id,
-                "key": key,
-            })
-
-    def _release_coordination(self, runtime: EngineRuntime, aborted: bool) -> None:
-        schema_name = runtime.state.schema_name
-        for spec in self.spec_index.mx_specs(schema_name):
-            self._mx_release(runtime, spec)
-        self._broadcast({
-            "op": "withdraw",
-            "instance": runtime.state.instance_id,
-            "aborted": aborted,
-        })
-
-    # -- replica application -----------------------------------------------------------
-
-    def _apply_coord_op(self, payload: Mapping[str, Any]) -> None:
-        op = payload["op"]
-        if op == "ro_report":
-            self._apply_ro_report(payload)
-        elif op == "mx_request":
-            authority = self.replica.mutex(payload["spec"], payload["key"])
-            authority.request(
-                (payload["time"], payload["instance"]),
-                payload["schema"],
-                payload["instance"],
+    def _apply_op(self, op: Mapping[str, Any]) -> None:
+        kind = op["op"]
+        if kind == MX_REQUEST:
+            self._mutex(op["spec"], op["key"]).request(
+                (op["time"], op["instance_id"]), op["schema"], op["instance_id"]
             )
-            self._schedule_mx_check(payload["spec"], payload["key"])
-        elif op == "mx_release":
-            self.replica.mx_release(payload["spec"], payload["key"], payload["instance"])
-            self._mx_granted.discard((payload["spec"], payload["instance"]))
-            self._schedule_mx_check(payload["spec"], payload["key"])
-        elif op == "rd_report":
-            replica = self._rd_replica(payload["spec"])
-            replica.report_target_executed(payload["instance"], payload["key"])
-        elif op == "rd_trigger":
-            replica = self._rd_replica(payload["spec"])
-            spec = next(s for s in self.spec_index.rd if s.name == payload["spec"])
-            for dependent in replica.dependents_of(payload["instance"], payload["key"]):
-                if self._owns(dependent) and dependent in self.runtimes:
-                    self.trace.record(self.simulator.now, self.name,
-                                      "rollback.dependency",
-                                      trigger=payload["instance"],
-                                      dependent=dependent, spec=spec.name)
-                    self._rollback(
-                        dependent, spec.rollback_to_b, Mechanism.FAILURE, from_rd=True
-                    )
-        elif op == "withdraw":
-            instance = payload["instance"]
-            for replica in self.replica.rd.values():
-                replica.withdraw(instance)
-            if payload.get("aborted"):
-                for authority in self.replica.ro.values():
-                    for grant in authority.withdraw(instance):
-                        if self._owns(grant.instance):
-                            self._deliver_grant(grant.instance, grant.token)
-        else:  # pragma: no cover - defensive
-            raise FrontEndError(f"unknown coordination op {op!r}")
+            self._schedule_mx_check(op["spec"], op["key"])
+        elif kind == MX_RELEASE:
+            self._mutex_release(op["spec"], op["key"], op["instance_id"])
+            self._mx_granted.discard((op["spec"], op["instance_id"]))
+            self._schedule_mx_check(op["spec"], op["key"])
+        else:
+            super()._apply_op(op)
 
-    def _ro_replica(self, spec_name: str) -> RelativeOrderAuthority:
-        replica = self.replica.ro.get(spec_name)
-        if replica is None:
-            spec = next(s for s in self.spec_index.ro if s.name == spec_name)
-            replica = RelativeOrderAuthority(spec)
-            self.replica.ro[spec_name] = replica
-        return replica
-
-    def _rd_replica(self, spec_name: str) -> RollbackDependencyAuthority:
-        replica = self.replica.rd.get(spec_name)
-        if replica is None:
-            spec = next(s for s in self.spec_index.rd if s.name == spec_name)
-            replica = RollbackDependencyAuthority(spec)
-            self.replica.rd[spec_name] = replica
-        return replica
-
-    def _apply_ro_report(self, payload: Mapping[str, Any]) -> None:
-        authority = self._ro_replica(payload["spec"])
-        instance = payload["instance"]
-        grants = authority.report_completion(
-            payload["schema"],
-            instance,
-            payload["pair_index"],
-            payload["key"],
-            order_key=(payload["time"], instance),
-        )
+    def _clearances(self, op: Mapping[str, Any]) -> list:
         # Registration: the owner engine queues clearances for the
         # remaining pairs of its own instance — deferred by two broadcast
         # latencies so an earlier-stamped registration broadcast still in
         # flight settles leadership first.
-        if payload["pair_index"] == 0 and self._owns(instance):
+        if self._owns(op["instance_id"]):
             self.schedule_causal(
-                2 * self.config.latency + 0.001,
-                self._ro_request_clearances,
-                payload["spec"], payload["schema"], instance, payload["key"],
+                2 * self.config.latency + 0.001, self._request_clearances, op
             )
-        for grant in grants:
-            if self._owns(grant.instance):
-                self._deliver_grant(grant.instance, grant.token)
-
-    def _ro_request_clearances(self, spec_name, schema_name, instance, key) -> None:
-        authority = self._ro_replica(spec_name)
-        for later in range(1, len(authority.spec.steps_a)):
-            grant = authority.request_clearance(schema_name, instance, later, key)
-            if grant is not None and self._owns(grant.instance):
-                self._deliver_grant(grant.instance, grant.token)
+        return []
 
     # -- replicated mutual exclusion ----------------------------------------------------
+
+    @staticmethod
+    def _lock_key(spec_name: str, key: Hashable | None) -> tuple[str, Hashable]:
+        return (spec_name, key if key is not None else "__ANY__")
+
+    def _mutex(self, spec_name: str, key: Hashable | None) -> TimestampMutex:
+        lock_key = self._lock_key(spec_name, key)
+        mutex = self._mutexes.get(lock_key)
+        if mutex is None:
+            mutex = self._mutexes[lock_key] = TimestampMutex()
+        return mutex
+
+    def _mutex_release(self, spec_name: str, key: Hashable | None, instance: str) -> None:
+        """Release ``instance``'s request; an idle lock is dropped."""
+        lock_key = self._lock_key(spec_name, key)
+        mutex = self._mutexes.get(lock_key)
+        if mutex is None:
+            return
+        mutex.release(instance)
+        if not mutex.waiting():
+            del self._mutexes[lock_key]
 
     def _schedule_mx_check(self, spec_name: str, key: Hashable | None) -> None:
         # Two latencies: any earlier-stamped request is in flight for at
@@ -368,7 +199,8 @@ class ParallelEngineNode(CentralEngineNode):
         )
 
     def _mx_check(self, spec_name: str, key: Hashable | None) -> None:
-        holder = self.replica.mx_holder(spec_name, key)
+        mutex = self._mutexes.get(self._lock_key(spec_name, key))
+        holder = None if mutex is None else mutex.holder()
         if holder is None:
             return
         __, instance = holder
@@ -377,7 +209,7 @@ class ParallelEngineNode(CentralEngineNode):
         runtime = self.runtimes.get(instance)
         if runtime is None:
             # Owner engine no longer runs the instance (finished): release.
-            self.replica.mx_release(spec_name, key, instance)
+            self._mutex_release(spec_name, key, instance)
             return
         self._mx_granted.add((spec_name, instance))
         runtime.mx_state[spec_name] = "held"
@@ -419,20 +251,16 @@ class ParallelControlSystem(ControlSystem):
         return [engine.name for engine in self.engines]
 
     def coordination_sizes(self) -> dict[tuple[str, str], int]:
-        # Replicas appear with a spec's first event and idle locks are
-        # dropped, so every installed spec starts from zero.  Every engine
-        # replicates registrations and lock requests, so one replica's view
-        # counts them; clearance requests are held only by the owning
-        # engine's replica, so those add up.
-        sizes: dict[tuple[str, str], int] = {}
-        for spec in self.specs:
-            if isinstance(spec, RelativeOrderSpec):
-                sizes["ro_registrations", spec.name] = 0
-                sizes["ro_pending_clearances", spec.name] = 0
-            elif isinstance(spec, MutualExclusionSpec):
-                sizes["mx_waiting", spec.name] = 0
+        # Every engine replicates registrations and lock requests, so one
+        # replica's view counts them; clearance requests are held only by
+        # the owning engine's replica, so those add up.  Idle locks are
+        # dropped, so every mutual-exclusion spec starts from zero.
+        sizes: dict[tuple[str, str], int] = {
+            ("mx_waiting", spec.name): 0
+            for spec in self.specs if isinstance(spec, MutualExclusionSpec)
+        }
         for engine in self.engines:
-            for measure, value in engine.replica.sizes().items():
+            for measure, value in engine.coordination_sizes().items():
                 if measure[0] == "ro_pending_clearances":
                     sizes[measure] = sizes.get(measure, 0) + value
                 else:
@@ -449,6 +277,8 @@ class ParallelControlSystem(ControlSystem):
     def _on_spec_added(self, spec: CoordinationSpec) -> None:
         for engine in self.engines:
             engine.spec_index.add(spec)
+            if not isinstance(spec, MutualExclusionSpec):
+                engine.authorities.host(spec)
 
     # -- ownership ---------------------------------------------------------------------
 

@@ -217,13 +217,13 @@ class RealtimeClock:
 
 
 class _TaskHandle:
-    """Cancellable wrapper over one executor task."""
+    """Cancellable wrapper over one executor task (None: never spawned)."""
 
     __slots__ = ("_task", "cancelled")
 
-    def __init__(self, task: "asyncio.Task[Any]"):
+    def __init__(self, task: "asyncio.Task[Any] | None"):
         self._task = task
-        self.cancelled = False
+        self.cancelled = task is None
 
     def cancel(self) -> None:
         if self.cancelled:
@@ -256,6 +256,7 @@ class TaskExecutor:
         #: pre-run stall and each attempt for an injected failure.
         self.faults = None
         self._tasks: set[asyncio.Task[Any]] = set()
+        self._closed = False
         self.submitted = 0
         self.retries = 0
         #: ``(callable qualname, repr(exception))`` of budget-exhausted work.
@@ -277,6 +278,8 @@ class TaskExecutor:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         loop = self.clock._require_loop()
+        if self._closed:
+            return _TaskHandle(None)
         self.submitted += 1
         task = loop.create_task(self._run(delay, fn, args))
         self._tasks.add(task)
@@ -322,6 +325,17 @@ class TaskExecutor:
             hook(*args)
         except Exception:  # pragma: no cover - defensive
             pass
+
+    def close(self) -> None:
+        """Spawn no further tasks; later submissions are dropped.
+
+        ``asyncio.run`` cancels only the tasks alive when its main
+        coroutine returns.  A clock timer that fires during that teardown
+        can still submit work, and a task spawned then is never cancelled:
+        the loop closes under it.  The owner closes the executor when its
+        own lifetime ends, so nothing can be spawned past it.
+        """
+        self._closed = True
 
     @property
     def inflight(self) -> int:

@@ -1,6 +1,6 @@
 """Seeded retry/timeout/backoff policy shared by the engines.
 
-Under fault injection (see :mod:`repro.sim.faults`) the transport can
+Under fault injection (see :mod:`repro.runtime.faults`) the transport can
 drop messages; :class:`RetryPolicy` decides when a dropped message is
 retransmitted and when its per-message budget is exhausted.  The same
 policy paces the central engine's step-retry watchdog, which re-dispatches
@@ -57,11 +57,3 @@ class RetryPolicy:
         if self.jitter:
             raw += raw * self.jitter * rng.random()
         return raw
-
-    def worst_case_total(self) -> float:
-        """Upper bound on the total retransmission window of one message."""
-        total = 0.0
-        for attempt in range(1, self.budget + 1):
-            raw = min(self.base_delay * self.factor ** (attempt - 1), self.max_delay)
-            total += raw * (1.0 + self.jitter)
-        return total

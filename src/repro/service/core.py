@@ -766,25 +766,37 @@ class WorkflowService:
         """Sweep for finished instances: record end-to-end latency into
         the commit/abort histograms, log and journal the outcome (plus
         engine-store fragments), enforce submission deadlines, and close
-        subscriber streams with a final event + ``None`` terminator."""
-        while True:
-            await asyncio.sleep(_WATCH_INTERVAL)
-            outcomes = self.system.outcomes
-            finished = [i for i in self._latency_pending if i in outcomes]
-            for iid in finished:
-                self._latency_pending.discard(iid)
-                self._record_latency(iid, outcomes[iid])
-                if self._log is not None:
-                    self._journal_outcome(iid, outcomes[iid])
-            if self._log is not None and finished:
-                # Group commit: one fsync covers every outcome (and its
-                # fragments) that landed in this sweep.
-                self._log.flush()
-            self._sweep_deadlines()
-            for iid in [i for i in self._subscribers if i in outcomes]:
-                for queue in self._subscribers.pop(iid, ()):
-                    queue.put_nowait(self._final_event(iid))
-                    queue.put_nowait(None)
+        subscriber streams with a final event + ``None`` terminator.
+
+        The watcher lives as long as the service: :meth:`close` cancels
+        it, and so does ``asyncio.run`` when the loop of an abandoned
+        service shuts down.  Either way the executor closes with it, so
+        no step task is spawned after the loop stops running tasks.
+        """
+        try:
+            while True:
+                await asyncio.sleep(_WATCH_INTERVAL)
+                self._sweep_outcomes()
+        finally:
+            self.runtime.executor.close()
+
+    def _sweep_outcomes(self) -> None:
+        outcomes = self.system.outcomes
+        finished = [i for i in self._latency_pending if i in outcomes]
+        for iid in finished:
+            self._latency_pending.discard(iid)
+            self._record_latency(iid, outcomes[iid])
+            if self._log is not None:
+                self._journal_outcome(iid, outcomes[iid])
+        if self._log is not None and finished:
+            # Group commit: one fsync covers every outcome (and its
+            # fragments) that landed in this sweep.
+            self._log.flush()
+        self._sweep_deadlines()
+        for iid in [i for i in self._subscribers if i in outcomes]:
+            for queue in self._subscribers.pop(iid, ()):
+                queue.put_nowait(self._final_event(iid))
+                queue.put_nowait(None)
 
     def _sweep_deadlines(self) -> None:
         """Abort instances that outlived their submission deadline."""

@@ -3,40 +3,17 @@
 The paper's prototype ran on real networked nodes; this package provides
 the deterministic stand-in, as the ``"sim"`` backend of the pluggable
 runtime layer (:mod:`repro.runtime`): the DES kernel
-(:mod:`repro.sim.kernel`) implements the ``Clock`` protocol,
+(:mod:`repro.sim.kernel`) implements the ``Clock`` protocol, and
 :class:`~repro.sim.runtime.SimRuntime` bundles it with the shared
-clock-agnostic transport, and :mod:`repro.sim.faults` adds deterministic
-fault injection underneath the reliable-delivery contract.
+clock-agnostic transport.
 
-The runtime-neutral pieces that historically lived here — the transport,
-nodes, metrics, seeded streams, trace log — moved to :mod:`repro.runtime`;
-the old ``repro.sim.*`` import paths remain as shims.
+The runtime-neutral pieces — the transport, nodes, metrics, seeded
+streams, the trace log and fault injection (:mod:`repro.runtime.faults`)
+— live in :mod:`repro.runtime`, where the wall-clock backend uses them
+too.
 """
 
-from repro.runtime.latency import FixedLatency, LatencyModel, UniformLatency
-from repro.runtime.messages import Message
-from repro.runtime.metrics import Mechanism, MetricsCollector, MetricsSnapshot
-from repro.runtime.node import Node
-from repro.runtime.rng import SimRandom
-from repro.runtime.trace import Trace, TraceRecord
-from repro.runtime.transport import Network
 from repro.sim.kernel import EventHandle, Simulator
 from repro.sim.runtime import SimRuntime
 
-__all__ = [
-    "EventHandle",
-    "FixedLatency",
-    "LatencyModel",
-    "Mechanism",
-    "Message",
-    "MetricsCollector",
-    "MetricsSnapshot",
-    "Network",
-    "Node",
-    "SimRandom",
-    "SimRuntime",
-    "Simulator",
-    "Trace",
-    "TraceRecord",
-    "UniformLatency",
-]
+__all__ = ["EventHandle", "SimRuntime", "Simulator"]

@@ -11,7 +11,7 @@ from repro.analysis.chaos import (
     split_config,
 )
 from repro.errors import CrewError
-from repro.sim.faults import FaultPlan
+from repro.runtime.faults import FaultPlan
 
 
 def test_chaos_configs_cover_all_six():

@@ -9,7 +9,7 @@ from repro.analysis.report import (
     render_comparison,
     render_recommendation,
 )
-from repro.sim.metrics import Mechanism, MetricsCollector
+from repro.runtime.metrics import Mechanism, MetricsCollector
 from repro.workloads.params import PAPER_DEFAULTS
 
 

@@ -1,7 +1,7 @@
 """Unit tests for the workflow interface catalogue (paper Tables 1-2)."""
 
 from repro.core.interfaces import INVOKED_BY, SUPPORTED_BY, WI, default_mechanism
-from repro.sim.metrics import Mechanism
+from repro.runtime.metrics import Mechanism
 
 
 def test_all_sixteen_table1_interfaces_present():

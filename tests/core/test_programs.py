@@ -12,7 +12,7 @@ from repro.core.programs import (
     ProgramRegistry,
 )
 from repro.errors import WorkloadError
-from repro.sim.rng import SimRandom
+from repro.runtime.rng import SimRandom
 
 
 def ctx(attempt=1, instance="i1", step="S1", rng=None):

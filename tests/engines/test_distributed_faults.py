@@ -11,7 +11,7 @@ hand-placed ``crash()`` calls, so the whole scenario replays from
 from repro.engines import DistributedControlSystem, SystemConfig
 from repro.engines.distributed import elect_executor
 from repro.model import SchemaBuilder
-from repro.sim.faults import Crash, FaultPlan
+from repro.runtime.faults import Crash, FaultPlan
 from tests.conftest import linear_schema, register_programs
 
 

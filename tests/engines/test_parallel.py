@@ -6,7 +6,7 @@ from repro.core.programs import FailEveryNth, NoopProgram
 from repro.engines import ParallelControlSystem, SystemConfig
 from repro.engines.parallel import TimestampMutex
 from repro.model import RelativeOrderSpec, SchemaBuilder
-from repro.sim.metrics import Mechanism
+from repro.runtime.metrics import Mechanism
 from repro.storage.tables import InstanceStatus
 from tests.conftest import linear_schema, register_programs
 

@@ -12,7 +12,7 @@ from repro.errors import InjectedFault
 from repro.runtime.faults import FaultPlan, FaultStats
 from repro.runtime.realtime import RealtimeRuntime, TaskExecutor
 from repro.runtime.retry import RetryPolicy
-from repro.sim.rng import SimRandom
+from repro.runtime.rng import SimRandom
 
 FAST_RETRY = RetryPolicy(base_delay=0.01, factor=1.0, max_delay=0.01,
                          jitter=0.0, budget=2)

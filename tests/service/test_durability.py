@@ -268,6 +268,22 @@ def test_recovery_redrives_inflight_instances(tmp_path):
     asyncio.run(recover_phase())
 
 
+def test_abandoned_service_leaves_no_task_behind(tmp_path):
+    # asyncio.run cancels the tasks alive when the coroutine returns; the
+    # step tasks that timers firing during its teardown would submit must
+    # not be spawned at all, or the loop closes under them still pending.
+    executors = []
+
+    async def crash_phase():
+        service = WorkflowService(work_time_scale=5.0, state_dir=tmp_path)
+        service.start()
+        service.submit(schema=MINI_SCHEMA, inputs={"x": 1}, instances=3)
+        executors.append(service.runtime.executor)
+
+    asyncio.run(crash_phase())
+    assert executors[0].inflight == 0
+
+
 def test_recovery_restores_finished_outcomes_at_most_once(tmp_path):
     async def commit_phase():
         service = WorkflowService(work_time_scale=0.001, state_dir=tmp_path)

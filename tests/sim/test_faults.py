@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim.faults import (
+from repro.runtime.faults import (
     Crash,
     FaultInjector,
     FaultPlan,
@@ -11,11 +11,12 @@ from repro.sim.faults import (
     Stall,
     random_plan,
 )
+from repro.runtime.latency import FixedLatency
+from repro.runtime.metrics import Mechanism, MetricsCollector
+from repro.runtime.node import Node
+from repro.runtime.rng import SimRandom
+from repro.runtime.transport import Network
 from repro.sim.kernel import Simulator
-from repro.sim.metrics import Mechanism, MetricsCollector
-from repro.sim.network import FixedLatency, Network
-from repro.sim.node import Node
-from repro.sim.rng import SimRandom
 
 
 class Recorder(Node):

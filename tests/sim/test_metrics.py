@@ -1,6 +1,6 @@
 """Unit tests for the metrics collector."""
 
-from repro.sim.metrics import Mechanism, MetricsCollector
+from repro.runtime.metrics import Mechanism, MetricsCollector
 
 
 def test_record_and_total_messages():

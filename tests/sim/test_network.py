@@ -3,11 +3,12 @@
 import pytest
 
 from repro.errors import SimulationError
+from repro.runtime.latency import FixedLatency, UniformLatency
+from repro.runtime.metrics import Mechanism, MetricsCollector
+from repro.runtime.node import Node
+from repro.runtime.rng import SimRandom
+from repro.runtime.transport import Network
 from repro.sim.kernel import Simulator
-from repro.sim.metrics import Mechanism, MetricsCollector
-from repro.sim.network import FixedLatency, Network, UniformLatency
-from repro.sim.node import Node
-from repro.sim.rng import SimRandom
 
 
 class Recorder(Node):

@@ -199,3 +199,36 @@ def test_engines_subpackage_layering():
                     f"repro.engines.{target}: architectures must not couple"
                 )
     assert not violations, "\n".join(violations)
+
+
+#: Authority calls that decide what a coordination op does.
+AUTHORITY_CALLS = frozenset({
+    "report_completion", "request_clearance",
+    "report_target_executed", "dependents_of",
+})
+
+
+def test_only_coord_drives_the_authorities():
+    """The three architectures share one coordination protocol: what an
+    op does at an authority is decided in ``engines/coord.py`` alone, and
+    the engines only choose where an op is applied and how its grants are
+    delivered.  No other module under repro/engines/ may call the
+    authority methods that apply an op."""
+    engines = SRC / "repro" / "engines"
+    violations = []
+    for module_path in sorted(engines.rglob("*.py")):
+        if module_path == engines / "coord.py":
+            continue
+        tree = ast.parse(module_path.read_text(), filename=str(module_path))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in AUTHORITY_CALLS
+            ):
+                violations.append(
+                    f"{module_path.relative_to(SRC)}:{node.lineno} calls "
+                    f".{node.func.attr}(): apply coordination ops through "
+                    f"AuthorityBundle in engines/coord.py"
+                )
+    assert not violations, "\n".join(violations)
